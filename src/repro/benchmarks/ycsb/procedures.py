@@ -105,10 +105,10 @@ class InsertRecord(_YcsbProcedure):
     default_weight = 10
 
     def run(self, conn, rng):
-        # Claim the next key past the tail; retry window keeps concurrent
-        # inserters from colliding deterministically.
-        tail = int(self.params["record_count"])
-        key = tail + rng.randrange(1_000_000)
+        # Claim the next key of the benchmark's insert sequence, which
+        # starts past the loaded tail: concurrent inserters never share
+        # a key, and the sequence replays exactly on the simulator.
+        key = next(self.params["insert_key_counter"])
         cur = conn.cursor()
         cur.execute(
             f"INSERT INTO usertable (ycsb_key, {ALL_FIELDS}) "

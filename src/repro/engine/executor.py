@@ -2,18 +2,30 @@
 
 The executor is a straightforward iterator pipeline:
 
-* single-table access paths choose between an equality-index lookup and a
-  full scan (``planner`` logic is inlined in :meth:`_choose_access_path`);
+* single-table access paths choose between an equality-index lookup, an
+  integer primary-key range unroll, and a full scan; the choice is made
+  before any storage read, so a scan knows its path when it locks;
 * joins are nested loops, with equality join predicates pushed down so the
   inner side can use its indexes per outer row;
-* strict-2PL transactions acquire shared locks on qualifying rows (exclusive
-  for ``FOR UPDATE`` and DML); snapshot transactions read without locks;
 * aggregation/grouping, DISTINCT, ORDER BY, and LIMIT/OFFSET are applied to
   the materialised row set.
 
-Like most lightweight engines, predicate locks are not implemented, so
-phantom protection is limited to primary-key locking on inserts; this is
-documented in DESIGN.md and does not affect any of the 15 workloads.
+Serializable transactions lock at two granularities (see
+:mod:`repro.engine.locks`):
+
+* a shared full scan takes one table ``S`` lock and no row locks, which
+  also keeps inserts, updates and deletes out of the scanned table until
+  commit, so the scan's predicate sees no phantoms;
+* other shared scans take row ``S`` locks; once a transaction holds
+  ``ESCALATION_THRESHOLD`` of them on one table, later scans of it take
+  the table ``S`` lock instead;
+* every write (INSERT, UPDATE, DELETE, ``FOR UPDATE``) takes table ``IX``
+  before its row and primary-key ``X`` locks.
+
+Snapshot transactions read without locks and validate writes at commit;
+their ``FOR UPDATE`` still takes ``IX`` and row ``X`` locks.  There are no
+next-key locks, so a predicate served by an index probe or a PK range
+read, and not escalated, can still see phantoms.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 from ..errors import IntegrityError, ProgrammingError
 from .catalog import TableSchema
 from .expr import AGGREGATES, RowContext, evaluate, is_true
-from .locks import EXCLUSIVE, SHARED
+from .locks import EXCLUSIVE, INTENT_EXCLUSIVE, SHARED, covers, join
 from .plan import (CompiledAggregation, CompiledDelete, CompiledInsert,
                    CompiledSelect, CompiledSource, CompiledUpdate, LazyAggs)
 from .sqlparser import ast
@@ -32,6 +44,14 @@ from .txn import SERIALIZABLE, Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
     from .database import Database
+
+#: Row ``S`` locks a transaction takes on one table before its shared
+#: scans of that table take the table ``S`` lock instead.
+ESCALATION_THRESHOLD = 1000
+
+#: A scan's access path: ``(index name, keys to probe)``, or ``None`` for
+#: a full scan.
+_Access = Optional[tuple[str, Sequence[tuple]]]
 
 
 @dataclass
@@ -155,11 +175,14 @@ class Executor:
                    ) -> list[tuple[int, tuple]]:
         """Compiled scan: batched visibility read, closure filtering.
 
-        Candidate gathering and all visibility checks happen under a
-        single latch acquisition (the interpreter re-enters the latch
-        per row); the authoritative post-lock re-read per qualifying
-        row is kept, so 2PL semantics are unchanged.  Locks are never
-        acquired while holding the latch.
+        The access path is decided first, outside the latch, so the
+        scan can take its table lock before it reads.  A shared scan
+        under a table ``S`` lock needs no row locks and no re-read.
+        Otherwise each qualifying row is locked and then re-read, so
+        2PL semantics hold.  Candidate gathering and all visibility
+        checks happen under a single latch acquisition (the interpreter
+        re-enters the latch per row).  Locks are never acquired while
+        holding the latch.
         """
         table = source.table
         data = self.db.table_data(table)
@@ -167,9 +190,11 @@ class Executor:
         row_filter = source.filter
         latch = self.db.latch
         effective = txn.effective_version
+        access = self._plan_access(txn, source, rows, params)
+        lock_rows = take_locks and self._lock_table_for_scan(
+            txn, table, lock_mode, full_scan=access is None)
         with latch:
-            candidates = self._plan_candidates(txn, source, rows, params,
-                                               data)
+            candidates = _read_candidates(data, access)
             inserted = txn.inserted.get(table)
             if inserted:
                 candidates |= inserted
@@ -179,18 +204,26 @@ class Executor:
                 version = effective(table, data, rowid)
                 if version is not None and not version.is_tombstone:
                     append((rowid, version.values))
-        acquire = self.db.lock_manager.acquire
-        stats = txn.stats
-        counters = self.db.counters
         out: list[tuple[int, tuple]] = []
         emit = out.append
-        for rowid, values in visible:
-            if row_filter is not None:
-                rows[slot] = values
-                if not row_filter(rows, params):
-                    continue
-            if take_locks:
-                acquire(txn, ("row", table, rowid), lock_mode)
+        if not lock_rows:
+            if row_filter is None:
+                out = visible
+            else:
+                for rowid, values in visible:
+                    rows[slot] = values
+                    if row_filter(rows, params):
+                        emit((rowid, values))
+        else:
+            acquire = self.db.lock_manager.acquire
+            new_locks = 0
+            for rowid, values in visible:
+                if row_filter is not None:
+                    rows[slot] = values
+                    if not row_filter(rows, params):
+                        continue
+                if acquire(txn, ("row", table, rowid), lock_mode):
+                    new_locks += 1
                 # Re-read after a potential wait: the row may have changed.
                 with latch:
                     version = effective(table, data, rowid)
@@ -205,19 +238,19 @@ class Executor:
                         rows[slot] = values
                         if not row_filter(rows, params):
                             continue
-            stats.rows_read += 1
-            emit((rowid, values))
+                emit((rowid, values))
+            if lock_mode == SHARED:
+                self._count_row_locks(txn, table, new_locks)
+        txn.stats.rows_read += len(out)
         if count_db_reads:
-            counters.rows_read += len(out)
+            self.db.counters.rows_read += len(out)
         return out
 
-    def _plan_candidates(self, txn: Transaction, source: CompiledSource,
-                         rows: list, params: Sequence[object],
-                         data) -> set[int]:
+    def _plan_access(self, txn: Transaction, source: CompiledSource,
+                     rows: list, params: Sequence[object]) -> _Access:
         """Access-path cascade: index probe, PK range unroll, full scan.
 
-        The caller holds the storage latch; key closures are pure, so
-        evaluating them under it is safe (and no locks are taken here).
+        Key closures are pure, so this runs outside the latch.
         """
         probe = source.index_probe
         if probe is not None:
@@ -229,18 +262,54 @@ class Executor:
                 key = None
             if key is not None:
                 txn.stats.index_lookups += 1
-                return data.index_lookup(probe.index_name, key)
+                return probe.index_name, (key,)
         if source.pk_range is not None:
             keys = source.pk_range.resolve(rows, params,
                                            self.MAX_RANGE_UNROLL)
             if keys is not None:
                 txn.stats.index_lookups += 1
-                candidates: set[int] = set()
-                for k in keys:
-                    candidates |= data.index_lookup("__pk__", (k,))
-                return candidates
+                return "__pk__", [(k,) for k in keys]
         txn.stats.full_scans += 1
-        return set(data.all_rowids())
+        return None
+
+    # ------------------------------------------------------------------
+    # table locks
+    # ------------------------------------------------------------------
+
+    def _lock_table(self, txn: Transaction, table: str, mode: str) -> None:
+        """Hold ``mode`` (or stronger) on ``table``'s table granule."""
+        held = txn.table_locks.get(table)
+        if held is not None and covers(held, mode):
+            return
+        self.db.lock_manager.acquire(txn, ("table", table), mode)
+        txn.table_locks[table] = mode if held is None else join(held, mode)
+
+    def _lock_table_for_scan(self, txn: Transaction, table: str,
+                             lock_mode: str, full_scan: bool) -> bool:
+        """Take the table lock a locking scan needs before it reads.
+
+        Row ``X`` locks need table ``IX``.  A shared full scan, or any
+        shared scan once the transaction holds ``ESCALATION_THRESHOLD``
+        row ``S`` locks on the table, takes table ``S`` instead of row
+        locks.  Returns True when the scan must still lock each row.
+        """
+        if lock_mode == EXCLUSIVE:
+            self._lock_table(txn, table, INTENT_EXCLUSIVE)
+            return True
+        held = txn.table_locks.get(table)
+        if held is not None and covers(held, SHARED):
+            return False
+        if full_scan or (txn.row_s_locks.get(table, 0)
+                         >= ESCALATION_THRESHOLD):
+            self._lock_table(txn, table, SHARED)
+            return False
+        return True
+
+    @staticmethod
+    def _count_row_locks(txn: Transaction, table: str, new_locks: int) -> None:
+        if new_locks:
+            counts = txn.row_s_locks
+            counts[table] = counts.get(table, 0) + new_locks
 
     def _aggregate_plan(self, agg: CompiledAggregation, contexts: list,
                         params: Sequence[object]) -> list[tuple]:
@@ -277,6 +346,9 @@ class Executor:
         schema = plan.schema
         data = self.db.table_data(plan.table)
         n_columns = len(schema.columns)
+        serializable = txn.isolation == SERIALIZABLE
+        if serializable:
+            self._lock_table(txn, plan.table, INTENT_EXCLUSIVE)
         inserted = 0
         for row_fns in plan.row_fns:
             values: list[object] = [None] * n_columns
@@ -297,7 +369,7 @@ class Executor:
                 if any(v is None for v in key):
                     raise IntegrityError(
                         f"NULL in primary key of {plan.table!r}")
-                if txn.isolation == SERIALIZABLE:
+                if serializable:
                     self.db.lock_manager.acquire(
                         txn, ("key", plan.table, key), EXCLUSIVE)
                 if self._visible_pk_exists(txn, plan.table, data, key):
@@ -305,7 +377,7 @@ class Executor:
                         f"duplicate primary key {key!r} in {plan.table!r}")
             with self.db.latch:
                 rowid = data.new_rowid()
-            if txn.isolation == SERIALIZABLE:
+            if serializable:
                 self.db.lock_manager.acquire(
                     txn, ("row", plan.table, rowid), EXCLUSIVE)
             txn.buffer_insert(plan.table, rowid, row)
@@ -487,27 +559,32 @@ class Executor:
     def _scan(self, txn: Transaction, source: _Source, outer_ctx: RowContext,
               params: Sequence[object], lock_mode: str) -> Iterator[tuple]:
         """Scan one table, using an index when equality predicates allow."""
-        data = self.db.table_data(source.table_name)
-        candidates = self._candidate_rowids(txn, source, outer_ctx, params,
-                                            data)
-        candidates |= txn.inserted.get(source.table_name, set())
-
+        table = source.table_name
+        data = self.db.table_data(table)
+        access = self._access_path(txn, source, outer_ctx, params)
         take_locks = (txn.isolation == SERIALIZABLE
                       or lock_mode == EXCLUSIVE)
+        lock_rows = take_locks and self._lock_table_for_scan(
+            txn, table, lock_mode, full_scan=access is None)
+        with self.db.latch:
+            candidates = _read_candidates(data, access)
+        candidates |= txn.inserted.get(table, set())
+
         for rowid in candidates:
             with self.db.latch:
-                version = txn.effective_version(source.table_name, data, rowid)
+                version = txn.effective_version(table, data, rowid)
             if version is None or version.is_tombstone:
                 continue
             if not self._row_matches(source, outer_ctx, version.values, params):
                 continue
-            if take_locks:
-                self.db.lock_manager.acquire(
-                    txn, ("row", source.table_name, rowid), lock_mode)
+            if lock_rows:
+                if (self.db.lock_manager.acquire(
+                        txn, ("row", table, rowid), lock_mode)
+                        and lock_mode == SHARED):
+                    self._count_row_locks(txn, table, 1)
                 # Re-read after a potential wait: the row may have changed.
                 with self.db.latch:
-                    version = txn.effective_version(
-                        source.table_name, data, rowid)
+                    version = txn.effective_version(table, data, rowid)
                 if version is None or version.is_tombstone:
                     continue
                 if not self._row_matches(source, outer_ctx, version.values,
@@ -527,26 +604,20 @@ class Executor:
         return all(is_true(evaluate(p, ctx, params))
                    for p in source.predicates)
 
-    def _candidate_rowids(self, txn: Transaction, source: _Source,
-                          outer_ctx: RowContext, params: Sequence[object],
-                          data) -> set[int]:
-        """Candidate rowids for a scan: index, integer PK range, or full."""
+    def _access_path(self, txn: Transaction, source: _Source,
+                     outer_ctx: RowContext,
+                     params: Sequence[object]) -> _Access:
+        """Access path for a scan: index, integer PK range, or full."""
         index, key = self._choose_access_path(source, outer_ctx, params)
         if index is not None:
             txn.stats.index_lookups += 1
-            with self.db.latch:
-                return data.index_lookup(index, key)
+            return index, (key,)
         keys = self._integer_pk_range(source, outer_ctx, params)
         if keys is not None:
             txn.stats.index_lookups += 1
-            candidates: set[int] = set()
-            with self.db.latch:
-                for k in keys:
-                    candidates |= data.index_lookup("__pk__", (k,))
-            return candidates
+            return "__pk__", [(k,) for k in keys]
         txn.stats.full_scans += 1
-        with self.db.latch:
-            return set(data.all_rowids())
+        return None
 
     #: Widest integer PK range unrolled into point lookups.
     MAX_RANGE_UNROLL = 2048
@@ -877,6 +948,9 @@ class Executor:
         data = self.db.table_data(stmt.table)
         columns = stmt.columns or schema.column_names
         positions = [schema.position(c) for c in columns]
+        serializable = txn.isolation == SERIALIZABLE
+        if serializable:
+            self._lock_table(txn, stmt.table, INTENT_EXCLUSIVE)
         inserted = 0
         for row_exprs in stmt.rows:
             if len(row_exprs) != len(columns):
@@ -902,7 +976,7 @@ class Executor:
                 if any(v is None for v in key):
                     raise IntegrityError(
                         f"NULL in primary key of {stmt.table!r}")
-                if txn.isolation == SERIALIZABLE:
+                if serializable:
                     # Key-range surrogate lock: serialises concurrent
                     # inserts/lookups of the same key.
                     self.db.lock_manager.acquire(
@@ -912,7 +986,7 @@ class Executor:
                         f"duplicate primary key {key!r} in {stmt.table!r}")
             with self.db.latch:
                 rowid = data.new_rowid()
-            if txn.isolation == SERIALIZABLE:
+            if serializable:
                 self.db.lock_manager.acquire(
                     txn, ("row", stmt.table, rowid), EXCLUSIVE)
             txn.buffer_insert(stmt.table, rowid, row)
@@ -993,27 +1067,30 @@ class Executor:
                         params: Sequence[object]
                         ) -> Iterator[tuple[int, tuple]]:
         """Scan yielding (rowid, values) with exclusive locks taken."""
-        data = self.db.table_data(source.table_name)
+        table = source.table_name
+        data = self.db.table_data(table)
         outer_ctx = RowContext({})
-        candidates = self._candidate_rowids(txn, source, outer_ctx, params,
-                                            data)
-        candidates |= txn.inserted.get(source.table_name, set())
+        access = self._access_path(txn, source, outer_ctx, params)
         # Snapshot transactions write optimistically: conflicts surface at
         # commit via first-committer-wins validation, so no X locks here.
         take_locks = txn.isolation == SERIALIZABLE
+        if take_locks:
+            self._lock_table(txn, table, INTENT_EXCLUSIVE)
+        with self.db.latch:
+            candidates = _read_candidates(data, access)
+        candidates |= txn.inserted.get(table, set())
         for rowid in candidates:
             with self.db.latch:
-                version = txn.effective_version(source.table_name, data, rowid)
+                version = txn.effective_version(table, data, rowid)
             if version is None or version.is_tombstone:
                 continue
             if not self._row_matches(source, outer_ctx, version.values, params):
                 continue
             if take_locks:
                 self.db.lock_manager.acquire(
-                    txn, ("row", source.table_name, rowid), EXCLUSIVE)
+                    txn, ("row", table, rowid), EXCLUSIVE)
                 with self.db.latch:
-                    version = txn.effective_version(
-                        source.table_name, data, rowid)
+                    version = txn.effective_version(table, data, rowid)
                 if version is None or version.is_tombstone:
                     continue
                 if not self._row_matches(source, outer_ctx, version.values,
@@ -1052,6 +1129,19 @@ class _SortKey:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _SortKey) and self.value == other.value
+
+
+def _read_candidates(data, access: _Access) -> set[int]:
+    """Rowids ``access`` yields, as a fresh set; the caller holds the latch."""
+    if access is None:
+        return set(data.all_rowids())
+    index_name, keys = access
+    if len(keys) == 1:
+        return data.index_lookup(index_name, keys[0])
+    candidates: set[int] = set()
+    for key in keys:
+        candidates |= data.index_lookup(index_name, key)
+    return candidates
 
 
 def _split_conjuncts(expr: ast.Expr) -> list[ast.Expr]:

@@ -8,6 +8,8 @@ follow Kleene logic.
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import Optional, Sequence
 
 from ..errors import DataError, ProgrammingError
@@ -190,33 +192,39 @@ def _eval_like(expr: ast.Like, ctx: RowContext,
 
 
 def like_match(text: str, pattern: str) -> bool:
-    """SQL LIKE matching with ``%`` and ``_`` wildcards (case-sensitive).
+    """SQL LIKE matching with ``%`` and ``_`` wildcards (case-sensitive)."""
+    return like_regex(pattern).fullmatch(text) is not None
 
-    Iterative two-pointer algorithm with backtracking on the last ``%``,
-    avoiding regex compilation in the hot path.
+
+@functools.lru_cache(maxsize=256)
+def like_regex(pattern: str) -> re.Pattern[str]:
+    """Compile a LIKE pattern into a regex for ``fullmatch``.
+
+    ``%`` matches any run of characters and ``_`` any one character,
+    newlines included (``(?s)``).  Every ``%`` except the last is
+    matched by a lookahead, which Python never backtracks into: it
+    binds the earliest occurrence of the next literal segment, which
+    is always safe because the following ``%`` absorbs anything.  So
+    a match costs O(len(text) * len(pattern)) instead of one nested
+    backtracking level per ``%``.  Compiled patterns are cached; plans
+    with a constant pattern compile it once at prepare time.
     """
-    ti = pi = 0
-    star_pi = star_ti = -1
-    while ti < len(text):
-        if pi < len(pattern) and pattern[pi] == "%":
-            # Wildcard first: a literal '%' in the text must not consume
-            # the pattern's '%' as an ordinary character match.
-            star_pi = pi
-            star_ti = ti
-            pi += 1
-        elif pi < len(pattern) and (pattern[pi] == "_"
-                                    or pattern[pi] == text[ti]):
-            ti += 1
-            pi += 1
-        elif star_pi >= 0:
-            star_ti += 1
-            ti = star_ti
-            pi = star_pi + 1
-        else:
-            return False
-    while pi < len(pattern) and pattern[pi] == "%":
-        pi += 1
-    return pi == len(pattern)
+    segments = [_like_segment(part) for part in pattern.split("%")]
+    if len(segments) == 1:
+        return re.compile("(?s)" + segments[0])
+    first, *middle, last = segments
+    body = [first]
+    group = 0
+    for segment in middle:
+        if segment:
+            group += 1
+            body.append(f"(?=(.*?{segment}))\\{group}")
+    body.append(".*" + last)
+    return re.compile("(?s)" + "".join(body))
+
+
+def _like_segment(text: str) -> str:
+    return "".join("." if ch == "_" else re.escape(ch) for ch in text)
 
 
 _SCALAR_FUNCS = frozenset({

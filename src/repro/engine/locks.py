@@ -1,9 +1,19 @@
 """Strict two-phase-locking lock manager with deadlock detection.
 
-Locks are taken on opaque hashable resource ids (the executor uses
-``("row", table, rowid)`` and ``("key", table, key)`` granules) in shared
-(``S``) or exclusive (``X``) mode.  Grants follow a FIFO wait queue with
-lock-upgrade priority.  A waits-for graph is maintained; when a request
+Locks are taken on opaque hashable resource ids.  The executor uses two
+granularities (Gray et al., 1976): ``("table", name)`` granules and, below
+them, ``("row", table, rowid)`` and ``("key", table, key)`` granules.  The
+modes are shared (``S``), exclusive (``X``), intention-exclusive (``IX``,
+taken on a table before any row or key ``X`` lock in it) and their join
+``SIX`` (a table scanned under ``S`` and then written).  ``IS`` is left
+out: it conflicts only with a table ``X``, which nothing takes.
+
+One compatibility table decides grants.  A request a transaction's held
+mode already :func:`covers` is a no-op; any other request by a holder is
+an upgrade to the :func:`join` of the two modes, and upgrades bypass the
+queue.  A fresh request queues behind every earlier waiter it is
+incompatible with, so a stream of table-``S`` scanners cannot starve a
+queued ``IX`` writer.  A waits-for graph is maintained; when a request
 would close a cycle the *requester* is chosen as the deadlock victim and
 receives :class:`DeadlockError` — the cheapest victim policy and the one
 that makes worker retry loops exercise realistic abort paths.
@@ -16,7 +26,7 @@ model.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Union
 
 from ..clock import Clock, RealClock
@@ -24,18 +34,54 @@ from ..errors import DeadlockError, LockTimeoutError
 
 SHARED = "S"
 EXCLUSIVE = "X"
+INTENT_EXCLUSIVE = "IX"
+SHARED_INTENT_EXCLUSIVE = "SIX"
+
+_MODES = (SHARED, EXCLUSIVE, INTENT_EXCLUSIVE, SHARED_INTENT_EXCLUSIVE)
+
+#: Pairs of modes two different transactions may hold at once.
+_COMPATIBLE = frozenset({
+    (SHARED, SHARED),
+    (INTENT_EXCLUSIVE, INTENT_EXCLUSIVE),
+})
+
+#: ``(held, requested)`` pairs where ``held`` already grants ``requested``.
+_COVERS = frozenset(
+    {(mode, mode) for mode in _MODES}
+    | {(EXCLUSIVE, mode) for mode in _MODES}
+    | {(SHARED_INTENT_EXCLUSIVE, SHARED),
+       (SHARED_INTENT_EXCLUSIVE, INTENT_EXCLUSIVE)})
 
 
-def _compatible(held: str, requested: str) -> bool:
-    return held == SHARED and requested == SHARED
+def compatible(held: str, requested: str) -> bool:
+    """True when two transactions may hold these modes together."""
+    return (held, requested) in _COMPATIBLE
 
 
-@dataclass
+def covers(held: str, requested: str) -> bool:
+    """True when holding ``held`` already grants ``requested``."""
+    return (held, requested) in _COVERS
+
+
+def join(held: str, requested: str) -> str:
+    """The weakest mode that grants both ``held`` and ``requested``."""
+    if (held, requested) in _COVERS:
+        return held
+    if (requested, held) in _COVERS:
+        return requested
+    # The only incomparable pair is {S, IX}.
+    return SHARED_INTENT_EXCLUSIVE
+
+
 class _LockEntry:
     """State of one resource: current holders and the wait queue."""
 
-    holders: dict[object, str] = field(default_factory=dict)  # txn -> mode
-    waiters: list[tuple[object, str]] = field(default_factory=list)
+    __slots__ = ("holders", "waiters")
+
+    def __init__(self) -> None:
+        self.holders: dict[object, str] = {}  # txn -> mode
+        # (txn, mode it waits to hold), in arrival order
+        self.waiters: list[tuple[object, str]] = []
 
 
 @dataclass
@@ -86,65 +132,81 @@ class LockManager:
         """Acquire ``resource`` in ``mode`` for ``txn``; blocks if needed.
 
         Returns True if the lock was newly acquired or upgraded, False when
-        the transaction already held a sufficient lock.  Raises
+        the transaction already held a covering lock.  Raises
         :class:`DeadlockError` when the wait would close a cycle and
         :class:`LockTimeoutError` on timeout.
         """
-        if timeout is None:
-            timeout = self.timeout
-        deadline = self._now() + timeout
         with self._condition:
             self._txn_thread[txn] = threading.get_ident()
-            entry = self._entries.setdefault(resource, _LockEntry())
+            entry = self._entries.get(resource)
+            if entry is None:
+                # Uncontended fast path: nobody holds or awaits it.
+                entry = self._entries[resource] = _LockEntry()
+                self._grant(entry, txn, resource, mode)
+                return True
             held_mode = entry.holders.get(txn)
-            if held_mode == EXCLUSIVE or held_mode == mode:
-                return False
+            if held_mode is not None:
+                if (held_mode, mode) in _COVERS:
+                    return False
+                mode = join(held_mode, mode)
             if self._grantable(entry, txn, mode):
                 self._grant(entry, txn, resource, mode)
                 return True
-            # Must wait.
-            self.stats.waits += 1
-            entry.waiters.append((txn, mode))
-            wait_started = self._now()
+            return self._wait(entry, txn, resource, mode,
+                              self.timeout if timeout is None else timeout)
+
+    def _wait(self, entry: _LockEntry, txn: object, resource: Hashable,
+              mode: str, timeout: float) -> bool:
+        """Queue ``txn`` for ``mode`` and block until granted; mutex held."""
+        wait_started = self._now()
+        deadline = wait_started + timeout
+        self.stats.waits += 1
+        entry.waiters.append((txn, mode))
+        try:
+            while True:
+                blockers = self._blockers(entry, txn, mode)
+                self._waits_for[txn] = blockers
+                if self._creates_cycle(txn):
+                    self.stats.deadlocks += 1
+                    raise DeadlockError(
+                        f"deadlock detected acquiring {mode} on {resource!r}")
+                if self._would_self_block(txn, blockers):
+                    self.stats.deadlocks += 1
+                    raise DeadlockError(
+                        f"self-wait acquiring {mode} on {resource!r} "
+                        "(conflicting transaction on the same thread)")
+                remaining = deadline - self._now()
+                if remaining <= 0:
+                    self.stats.timeouts += 1
+                    raise LockTimeoutError(
+                        f"timed out acquiring {mode} on {resource!r}")
+                self._condition.wait(remaining)
+                if self._grantable(entry, txn, mode):
+                    self._grant(entry, txn, resource, mode)
+                    return True
+        finally:
+            self._waits_for.pop(txn, None)
             try:
-                while True:
-                    blockers = self._blockers(entry, txn, mode)
-                    self._waits_for[txn] = blockers
-                    if self._creates_cycle(txn):
-                        self.stats.deadlocks += 1
-                        raise DeadlockError(
-                            f"deadlock detected acquiring {mode} on {resource!r}")
-                    if self._would_self_block(txn, blockers):
-                        self.stats.deadlocks += 1
-                        raise DeadlockError(
-                            f"self-wait acquiring {mode} on {resource!r} "
-                            "(conflicting transaction on the same thread)")
-                    remaining = deadline - self._now()
-                    if remaining <= 0:
-                        self.stats.timeouts += 1
-                        raise LockTimeoutError(
-                            f"timed out acquiring {mode} on {resource!r}")
-                    self._condition.wait(remaining)
-                    if self._grantable(entry, txn, mode):
-                        self._grant(entry, txn, resource, mode)
-                        return True
-            finally:
-                self._waits_for.pop(txn, None)
-                try:
-                    entry.waiters.remove((txn, mode))
-                except ValueError:
-                    pass
-                self.stats.wait_time += self._now() - wait_started
-                self._condition.notify_all()
+                entry.waiters.remove((txn, mode))
+            except ValueError:
+                pass
+            self.stats.wait_time += self._now() - wait_started
+            self._condition.notify_all()
 
     def try_acquire(self, txn: object, resource: Hashable, mode: str) -> bool:
         """Non-blocking acquire; returns False instead of waiting."""
         with self._condition:
             self._txn_thread[txn] = threading.get_ident()
-            entry = self._entries.setdefault(resource, _LockEntry())
-            held_mode = entry.holders.get(txn)
-            if held_mode == EXCLUSIVE or held_mode == mode:
+            entry = self._entries.get(resource)
+            if entry is None:
+                entry = self._entries[resource] = _LockEntry()
+                self._grant(entry, txn, resource, mode)
                 return True
+            held_mode = entry.holders.get(txn)
+            if held_mode is not None:
+                if (held_mode, mode) in _COVERS:
+                    return True
+                mode = join(held_mode, mode)
             if self._grantable(entry, txn, mode):
                 self._grant(entry, txn, resource, mode)
                 return True
@@ -174,7 +236,7 @@ class LockManager:
             if entry is None:
                 return False
             held = entry.holders.get(txn)
-            return held == EXCLUSIVE or held == mode
+            return held is not None and (held, mode) in _COVERS
 
     def active_lock_count(self) -> int:
         with self._mutex:
@@ -184,37 +246,39 @@ class LockManager:
 
     def _grantable(self, entry: _LockEntry, txn: object, mode: str) -> bool:
         for holder, held_mode in entry.holders.items():
-            if holder is txn:
-                continue
-            if not _compatible(held_mode, mode):
+            if holder is not txn and (held_mode, mode) not in _COMPATIBLE:
                 return False
-        if mode == EXCLUSIVE:
-            # Upgrades bypass the queue; fresh X requests respect FIFO
-            # among waiters ahead of them to avoid starvation.
-            if txn not in entry.holders:
-                for waiter, _waiter_mode in entry.waiters:
-                    if waiter is txn:
-                        break
-                    if waiter not in entry.holders:
-                        return False
+        if txn not in entry.holders:
+            # Upgrades bypass the queue; a fresh request waits behind
+            # every earlier waiter it conflicts with, so FIFO order
+            # keeps shared requests from starving a queued writer.
+            for waiter, waiter_mode in entry.waiters:
+                if waiter is txn:
+                    break
+                if (waiter_mode, mode) not in _COMPATIBLE:
+                    return False
         return True
 
     def _grant(self, entry: _LockEntry, txn: object, resource: Hashable,
                mode: str) -> None:
         entry.holders[txn] = mode
-        self._held.setdefault(txn, set()).add(resource)
+        held = self._held.get(txn)
+        if held is None:
+            self._held[txn] = {resource}
+        else:
+            held.add(resource)
         self.stats.acquisitions += 1
 
     def _blockers(self, entry: _LockEntry, txn: object, mode: str) -> set[object]:
         blockers = {
             holder for holder, held_mode in entry.holders.items()
-            if holder is not txn and not _compatible(held_mode, mode)
+            if holder is not txn and (held_mode, mode) not in _COMPATIBLE
         }
-        if mode == EXCLUSIVE and txn not in entry.holders:
-            for waiter, _waiter_mode in entry.waiters:
+        if txn not in entry.holders:
+            for waiter, waiter_mode in entry.waiters:
                 if waiter is txn:
                     break
-                if waiter is not txn and waiter not in entry.holders:
+                if (waiter_mode, mode) not in _COMPATIBLE:
                     blockers.add(waiter)
         return blockers
 

@@ -45,7 +45,7 @@ from ..errors import ProgrammingError
 from .catalog import Catalog, ColumnDef, IndexDef, TableSchema
 from .expr import (AGGREGATES, _SCALAR_FUNCS, _compare_bool, _kleene_and,
                    _stringify, apply_binary, apply_scalar_func, apply_unary,
-                   evaluate, like_match)
+                   evaluate, like_match, like_regex)
 from .sqlparser import ast
 
 #: A compiled expression: ``fn(rows, params) -> value``.
@@ -219,8 +219,17 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> ExprFn:
         return in_fn
     if isinstance(expr, ast.Like):
         value_fn = compile_expr(expr.value, scope)
-        pattern_fn = compile_expr(expr.pattern, scope)
         negated = expr.negated
+        if (isinstance(expr.pattern, ast.Literal)
+                and expr.pattern.value is not None):
+            fullmatch = like_regex(_stringify(expr.pattern.value)).fullmatch
+            def like_const_fn(rows, params):
+                value = value_fn(rows, params)
+                if value is None:
+                    return None
+                return (fullmatch(_stringify(value)) is not None) != negated
+            return like_const_fn
+        pattern_fn = compile_expr(expr.pattern, scope)
         def like_fn(rows, params):
             value = value_fn(rows, params)
             pattern = pattern_fn(rows, params)

@@ -5,8 +5,10 @@ them atomically at commit under the database's structural latch.  Two
 isolation levels are offered, matching what the OLTP-Bench benchmarks need:
 
 * ``serializable`` — strict two-phase locking.  Readers take shared row
-  locks, writers exclusive ones, all held to commit/rollback.  Reads see
-  the latest committed version (safe under 2PL).
+  locks (or one shared table lock for a full scan), writers an
+  intention-exclusive table lock and exclusive row/key locks, all held to
+  commit/rollback.  Reads see the latest committed version (safe under
+  2PL).
 * ``snapshot`` — snapshot isolation.  Reads see the database as of the
   transaction's begin timestamp without locking; writes are validated with
   first-committer-wins at commit (:class:`SerializationError` on conflict).
@@ -71,6 +73,12 @@ class Transaction:
         # table -> rowids this txn inserted (scan overlay)
         self.inserted: dict[str, set[int]] = {}
         self.stats = TxnStats()
+        # table -> strongest table-lock mode granted to this txn, so that
+        # repeated statements on a table skip the lock manager; the lock
+        # manager still decides every grant.
+        self.table_locks: dict[str, str] = {}
+        # table -> row S locks taken there (drives lock escalation)
+        self.row_s_locks: dict[str, int] = {}
 
     # -- workspace helpers -------------------------------------------------
 

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from repro.benchmarks.ycsb import YcsbBenchmark
+from repro.core import (Phase, RATE_DISABLED, ThreadedExecutor,
+                        WorkloadConfiguration, WorkloadManager)
 from repro.engine import Database, connect
 
 from .conftest import committed, run_mixture
@@ -124,3 +126,50 @@ def test_latest_distribution_option():
     picks = [proc._pick_key(rng) for _ in range(2000)]
     recent = sum(1 for p in picks if p >= 150)
     assert recent / 2000 > 0.5
+
+
+def test_insert_keys_continue_the_tail_sequence():
+    db = Database()
+    bench = YcsbBenchmark(db, scale_factor=0.1, seed=3)
+    bench.load()
+    conn = connect(db)
+    proc = bench.make_procedure("InsertRecord")
+    for seed in range(3):
+        proc.run(conn, random.Random(seed))
+    cur = conn.cursor()
+    cur.execute("SELECT ycsb_key FROM usertable WHERE ycsb_key >= 100 "
+                "ORDER BY ycsb_key")
+    assert [row[0] for row in cur.fetchall()] == [100, 101, 102]
+    conn.commit()
+    conn.close()
+    restored = YcsbBenchmark(db, scale_factor=0.1, seed=3)
+    restored.derive_params()
+    assert next(restored.params["insert_key_counter"]) == 103
+
+
+def test_threaded_insert_heavy_mix_has_no_failures():
+    db = Database()
+    bench = YcsbBenchmark(db, scale_factor=0.2, seed=3)
+    bench.load()
+    loaded = db.row_count("usertable")
+    config = WorkloadConfiguration(
+        benchmark=bench.name, workers=2, seed=1,
+        phases=[Phase(duration=1, rate=RATE_DISABLED,
+                      weights={"InsertRecord": 80, "ReadRecord": 20})])
+    manager = WorkloadManager(bench, config)
+    executor = ThreadedExecutor(db)
+    executor.add_workload(manager)
+    executor.run(timeout=15)
+    results = manager.results
+    assert results.count() > 100
+    assert results.committed() == results.count()  # no abort, no error
+    inserts = db.row_count("usertable") - loaded
+    assert inserts > 50
+    conn = connect(db)
+    cur = conn.cursor()
+    cur.execute("SELECT ycsb_key FROM usertable WHERE ycsb_key >= ?",
+                (loaded,))
+    assert sorted(row[0] for row in cur.fetchall()) == list(
+        range(loaded, loaded + inserts))
+    conn.commit()
+    conn.close()

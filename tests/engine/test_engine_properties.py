@@ -2,12 +2,15 @@
 
 Hypothesis drives random CRUD sequences against both the engine and a plain
 Python dict; after every committed batch the two must agree exactly.  A
-second suite checks LIKE against a regex oracle and ORDER BY stability.
+second suite checks LIKE against a regex oracle and against stdlib
+``sqlite3`` (an independent implementation), and ORDER BY stability.
 """
 
 import re
+import sqlite3
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import (Bundle, RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
@@ -106,6 +109,34 @@ def _like_to_regex(pattern: str) -> str:
 def test_like_matches_regex_oracle(text, pattern):
     expected = re.match(_like_to_regex(pattern), text, re.DOTALL) is not None
     assert like_match(text, pattern) is expected
+
+
+#: ASCII with both wildcards, a newline, and mixed case, so patterns hit
+#: literal ``%``/``_`` characters in the text and case sensitivity.
+_LIKE_TEXT = st.text(alphabet="abA%_\n ", max_size=16)
+_LIKE_PATTERN = st.text(alphabet="abA%_\n ", max_size=10)
+
+
+@given(text=_LIKE_TEXT, pattern=_LIKE_PATTERN)
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_like_matches_sqlite(sqlite_like, text, pattern):
+    expected = sqlite_like.execute("SELECT ? LIKE ?",
+                                   (text, pattern)).fetchone()[0]
+    assert like_match(text, pattern) is bool(expected)
+
+
+@pytest.fixture(scope="module")
+def sqlite_like():
+    conn = sqlite3.connect(":memory:")
+    conn.execute("PRAGMA case_sensitive_like=ON")
+    yield conn
+    conn.close()
+
+
+def test_sqlite_oracle_is_case_sensitive(sqlite_like):
+    assert sqlite_like.execute("SELECT 'a' LIKE 'A'").fetchone()[0] == 0
+    assert sqlite_like.execute("SELECT 'a\nb' LIKE 'a_b'").fetchone()[0] == 1
 
 
 @given(rows=st.lists(
