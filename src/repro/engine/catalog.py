@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from operator import itemgetter
+from typing import Callable
 
 from ..errors import ProgrammingError
 from .types import SqlType
@@ -44,6 +46,8 @@ class TableSchema:
             if key_col not in self._positions:
                 raise ProgrammingError(
                     f"primary key column {key_col!r} not in table {self.name!r}")
+        self.pk_positions = tuple(self._positions[c] for c in self.primary_key)
+        self._pk_getter = key_getter(self.pk_positions)
 
     def position(self, column: str) -> int:
         try:
@@ -59,13 +63,29 @@ class TableSchema:
     def column_names(self) -> tuple[str, ...]:
         return tuple(col.name for col in self.columns)
 
-    @property
-    def pk_positions(self) -> tuple[int, ...]:
-        return tuple(self.position(c) for c in self.primary_key)
-
     def pk_key(self, row: tuple) -> tuple:
         """Extract the primary-key tuple from a full row tuple."""
-        return tuple(row[i] for i in self.pk_positions)
+        return self._pk_getter(row)
+
+
+def key_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[p] for p in positions)``, without a generator.
+
+    Built from picklable parts, so a ``TableSchema`` still pickles.
+    """
+    if len(positions) == 1:
+        return partial(_single_key, positions[0])
+    if not positions:
+        return _empty_key
+    return itemgetter(*positions)
+
+
+def _single_key(position: int, row: tuple) -> tuple:
+    return (row[position],)
+
+
+def _empty_key(row: tuple) -> tuple:
+    return ()
 
 
 class Catalog:

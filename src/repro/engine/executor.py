@@ -2,7 +2,8 @@
 
 The executor is a straightforward iterator pipeline:
 
-* single-table access paths choose between an equality-index lookup, an
+* single-table access paths choose between an equality-index lookup
+  (narrowed by an integer range on a wider index where one exists), an
   integer primary-key range unroll, and a full scan; the choice is made
   before any storage read, so a scan knows its path when it locks;
 * joins are nested loops, with equality join predicates pushed down so the
@@ -38,8 +39,10 @@ from .catalog import TableSchema
 from .expr import AGGREGATES, RowContext, evaluate, is_true
 from .locks import EXCLUSIVE, INTENT_EXCLUSIVE, SHARED, covers, join
 from .plan import (CompiledAggregation, CompiledDelete, CompiledInsert,
-                   CompiledSelect, CompiledSource, CompiledUpdate, LazyAggs)
+                   CompiledSelect, CompiledSource, CompiledUpdate, LazyAggs,
+                   OrderKey, _integer_affinity)
 from .sqlparser import ast
+from .storage import READ_LATEST
 from .txn import SERIALIZABLE, Transaction
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -157,13 +160,11 @@ class Executor:
         else:
             project = plan.project_fn
             out = [project(ctx, params) for ctx in contexts]
-            if plan.order_keys:
-                keyed = [
-                    ([_SortKey(key.value(ctx, row, params), key.descending)
-                      for key in plan.order_keys], row)
-                    for ctx, row in zip(contexts, out)]
-                keyed.sort(key=lambda pair: pair[0])
-                out = [row for _, row in keyed]
+            order_keys = plan.order_keys
+            if order_keys:
+                out = _sort_rows(out, [
+                    [key.value(ctx, row, params) for key in order_keys]
+                    for ctx, row in zip(contexts, out)], order_keys)
         if plan.distinct:
             out = _distinct(out)
         out = _apply_plan_limit(out, plan, params)
@@ -182,28 +183,38 @@ class Executor:
         2PL semantics hold.  Candidate gathering and all visibility
         checks happen under a single latch acquisition (the interpreter
         re-enters the latch per row).  Locks are never acquired while
-        holding the latch.
+        holding the latch.  A latest-committed reader (serializable)
+        that has buffered no write on the table reads each chain's last
+        version directly, in the batch and in the re-read; everything
+        else goes through ``Transaction.effective_version``.
         """
         table = source.table
         data = self.db.table_data(table)
         slot = source.slot
         row_filter = source.filter
         latch = self.db.latch
+        # A latest-committed reader with no pending writes on the table
+        # sees each row's newest committed version: no workspace overlay.
+        latest = (txn.snapshot_ts == READ_LATEST
+                  and table not in txn.written_tables)
         effective = txn.effective_version
         access = self._plan_access(txn, source, rows, params)
         lock_rows = take_locks and self._lock_table_for_scan(
             txn, table, lock_mode, full_scan=access is None)
         with latch:
             candidates = _read_candidates(data, access)
-            inserted = txn.inserted.get(table)
-            if inserted:
-                candidates |= inserted
-            visible = []
-            append = visible.append
-            for rowid in candidates:
-                version = effective(table, data, rowid)
-                if version is not None and not version.is_tombstone:
-                    append((rowid, version.values))
+            if latest:
+                visible = data.latest_live(candidates)
+            else:
+                inserted = txn.inserted.get(table)
+                if inserted:
+                    candidates |= inserted
+                visible = []
+                append = visible.append
+                for rowid in candidates:
+                    version = effective(table, data, rowid)
+                    if version is not None and not version.is_tombstone:
+                        append((rowid, version.values))
         out: list[tuple[int, tuple]] = []
         emit = out.append
         if not lock_rows:
@@ -226,7 +237,8 @@ class Executor:
                     new_locks += 1
                 # Re-read after a potential wait: the row may have changed.
                 with latch:
-                    version = effective(table, data, rowid)
+                    version = (data.latest_version(rowid) if latest
+                               else effective(table, data, rowid))
                 if version is None or version.is_tombstone:
                     continue
                 # Only re-filter when the wait actually replaced the
@@ -250,7 +262,9 @@ class Executor:
                      rows: list, params: Sequence[object]) -> _Access:
         """Access-path cascade: index probe, PK range unroll, full scan.
 
-        Key closures are pure, so this runs outside the latch.
+        An index probe with a ``narrow`` range probes the wider index
+        with its key as prefix when the range resolves.  Key closures
+        are pure, so this runs outside the latch.
         """
         probe = source.index_probe
         if probe is not None:
@@ -262,13 +276,19 @@ class Executor:
                 key = None
             if key is not None:
                 txn.stats.index_lookups += 1
+                narrow = probe.narrow
+                if narrow is not None:
+                    keys = narrow.resolve(rows, params,
+                                          self.MAX_RANGE_UNROLL, key)
+                    if keys is not None:
+                        return narrow.index_name, keys
                 return probe.index_name, (key,)
         if source.pk_range is not None:
             keys = source.pk_range.resolve(rows, params,
                                            self.MAX_RANGE_UNROLL)
             if keys is not None:
                 txn.stats.index_lookups += 1
-                return "__pk__", [(k,) for k in keys]
+                return "__pk__", keys
         txn.stats.full_scans += 1
         return None
 
@@ -321,7 +341,8 @@ class Executor:
         else:
             groups[()] = contexts  # single global group (may be empty)
         out_rows: list[tuple] = []
-        order_keys: list[list] = []
+        key_values: list[list] = []
+        order_keys = agg.order_keys
         for group in groups.values():
             rows0 = group[0] if group else None
             aggs = LazyAggs(agg.aggs, group, params)
@@ -330,15 +351,12 @@ class Executor:
                 continue
             row = tuple(fn(aggs, rows0, params) for fn in agg.item_fns)
             out_rows.append(row)
-            if agg.order_keys:
-                order_keys.append([
-                    _SortKey(key.agg_value(aggs, rows0, row, params),
-                             key.descending)
-                    for key in agg.order_keys])
-        if agg.order_keys:
-            paired = sorted(zip(order_keys, out_rows),
-                            key=lambda pair: pair[0])
-            out_rows = [row for _, row in paired]
+            if order_keys:
+                key_values.append([
+                    key.agg_value(aggs, rows0, row, params)
+                    for key in order_keys])
+        if order_keys:
+            out_rows = _sort_rows(out_rows, key_values, order_keys)
         return out_rows
 
     def _insert_plan(self, txn: Transaction, plan: CompiledInsert,
@@ -626,14 +644,16 @@ class Executor:
                           params: Sequence[object]) -> Optional[range]:
         """Unroll ``pk >= lo AND pk < hi`` into point lookups.
 
-        Applies when the table has a single-column primary key and the
-        predicates bound it to a small integer interval — the hash-indexed
-        answer to YCSB-style range scans.
+        Applies when the table has a single-column primary key of
+        INTEGER affinity and the predicates bound it to a small integer
+        interval — the hash-indexed answer to YCSB-style range scans.
         """
         schema = source.schema
         if len(schema.primary_key) != 1:
             return None
         pk_col = schema.primary_key[0]
+        if not _integer_affinity(schema, pk_col):
+            return None  # a stored 1.5 lies between the unrolled keys
         lo: Optional[int] = None
         hi: Optional[int] = None  # exclusive
         for predicate in source.predicates:
@@ -1129,6 +1149,31 @@ class _SortKey:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _SortKey) and self.value == other.value
+
+
+def _sort_rows(rows: list[tuple], key_values: Sequence[Sequence[object]],
+               order_keys: Sequence[OrderKey]) -> list[tuple]:
+    """``rows`` in ORDER BY order; ``key_values[i]`` holds ``rows[i]``'s keys.
+
+    One key whose values are all ``int`` or all ``str`` sorts the raw
+    values, with ``reverse`` for DESC: Python's sort stays stable under
+    ``reverse``, so ties keep their input order exactly as under
+    :class:`_SortKey`.  NULLs, bools, floats, mixed types and several
+    keys compare through :class:`_SortKey`.
+    """
+    if len(order_keys) == 1:
+        values = [keys[0] for keys in key_values]
+        kinds = set(map(type, values))
+        if kinds == {int} or kinds == {str}:
+            order = sorted(range(len(rows)), key=values.__getitem__,
+                           reverse=order_keys[0].descending)
+            return [rows[i] for i in order]
+    flags = [key.descending for key in order_keys]
+    wrapped = [[_SortKey(value, descending)
+                for value, descending in zip(keys, flags)]
+               for keys in key_values]
+    return [rows[i] for i in sorted(range(len(rows)),
+                                    key=wrapped.__getitem__)]
 
 
 def _read_candidates(data, access: _Access) -> set[int]:

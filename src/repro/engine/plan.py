@@ -12,7 +12,8 @@ once per ``(sql, catalog_version)``:
   compiled into nested Python closures with the exact three-valued
   semantics of the interpreter (shared via ``expr.apply_binary`` /
   ``apply_unary`` / ``apply_scalar_func``);
-* each source's access path — equality-index probe, integer-PK range
+* each source's access path — equality-index probe (narrowed by an
+  integer range on a wider index where one exists), integer-PK range
   unroll, or full scan — is chosen once, with the same runtime
   fallback cascade the interpreter uses when a probe key cannot be
   evaluated.
@@ -47,6 +48,7 @@ from .expr import (AGGREGATES, _SCALAR_FUNCS, _compare_bool, _kleene_and,
                    _stringify, apply_binary, apply_scalar_func, apply_unary,
                    evaluate, like_match, like_regex)
 from .sqlparser import ast
+from .types import INTEGER
 
 #: A compiled expression: ``fn(rows, params) -> value``.
 ExprFn = Callable[[Sequence[Optional[tuple]], Sequence[object]], object]
@@ -295,26 +297,41 @@ def _compile_conjunction(predicates: Sequence[ast.Expr],
 
 @dataclass(frozen=True)
 class IndexProbe:
-    """Equality probe: evaluate the fused key closure, look up the index."""
+    """Equality probe: evaluate the fused key closure, look up the index.
+
+    ``narrow``, when set, is a range on the next column of a wider
+    index, probed with this key as the prefix.  It reads only the rows
+    in range instead of every row under the key.  Its candidates are a
+    subset of this probe's that still holds every row the filter
+    accepts, so the statement returns and locks the same rows.
+    """
 
     index_name: str
     key_fn: ExprFn  # (rows, params) -> key tuple
+    narrow: Optional[PkRangeProbe] = None
 
 
 @dataclass(frozen=True)
 class PkRangeProbe:
-    """Integer single-column-PK range unrolled into point lookups.
+    """Integer range on an index's last column, unrolled into point lookups.
 
+    On its own it serves an integer single-column primary key.  As an
+    :class:`IndexProbe`'s ``narrow`` it serves a wider index, whose
+    columns are the probe's plus this one, and every lookup key starts
+    with the probe's key.  The column has INTEGER affinity, so every
+    stored value is an int and the unrolled keys miss no row.
     ``bound_fns`` mirror the interpreter's ``_pk_bound``: each returns
     ``("lo", v)``, ``("hi", v)``, ``("between", (lo, hi))``, or ``None``
     when its operand is non-integer or not evaluable yet.
     """
 
+    index_name: str
     bound_fns: tuple[Callable[..., Optional[tuple[str, object]]], ...]
 
     def resolve(self, rows: Sequence[Optional[tuple]],
-                params: Sequence[object],
-                max_unroll: int) -> Optional[range]:
+                params: Sequence[object], max_unroll: int,
+                prefix: tuple = ()) -> Optional[list[tuple]]:
+        """``prefix + (v,)`` per ``v`` in range; None if unusable."""
         lo: Optional[int] = None
         hi: Optional[int] = None  # exclusive
         for bound_fn in self.bound_fns:
@@ -330,11 +347,9 @@ class PkRangeProbe:
                 b_lo, b_hi = value
                 lo = b_lo if lo is None else max(lo, b_lo)
                 hi = b_hi + 1 if hi is None else min(hi, b_hi + 1)
-        if lo is None or hi is None:
+        if lo is None or hi is None or hi - lo > max_unroll:
             return None
-        if hi - lo > max_unroll or hi <= lo:
-            return None if hi > lo else range(0)
-        return range(lo, hi)
+        return [prefix + (value,) for value in range(lo, hi)]
 
 
 def _compile_const(expr: ast.Expr, prefix_scope: Scope) -> Optional[ExprFn]:
@@ -432,22 +447,45 @@ def _compile_index_probe(predicates: Sequence[ast.Expr], binding: str,
         if key_fn is None:
             return None
         key_fns.append(key_fn)
-    return IndexProbe(index.name, tuple_fn(key_fns))
+    # A unique key reads at most one row: nothing to narrow.
+    narrow = None if index.unique else _compile_narrow(
+        predicates, binding, schema, index, prefix_scope)
+    return IndexProbe(index.name, tuple_fn(key_fns), narrow)
+
+
+def _compile_narrow(predicates: Sequence[ast.Expr], binding: str,
+                    schema: TableSchema, probed: IndexDef,
+                    prefix_scope: Scope) -> Optional[PkRangeProbe]:
+    """A range on an index whose columns are ``probed``'s plus one."""
+    for index in _index_defs(schema):
+        if tuple(index.columns[:-1]) != tuple(probed.columns):
+            continue
+        bound_fns = _compile_range_bounds(predicates, binding, schema,
+                                          index.columns[-1], prefix_scope)
+        if bound_fns is not None:
+            return PkRangeProbe(index.name, bound_fns)
+    return None
+
+
+def _integer_affinity(schema: TableSchema, column: str) -> bool:
+    """True when every stored value of ``column`` is an int (or NULL)."""
+    return (schema.columns[schema.position(column)].sql_type.affinity
+            == INTEGER)
 
 
 def _compile_pk_bound(predicate: ast.Expr, binding: str, schema: TableSchema,
-                      pk_col: str, prefix_scope: Scope
+                      column: str, prefix_scope: Scope
                       ) -> Optional[tuple[str, Callable]]:
-    """One predicate's contribution to the PK range, pre-classified.
+    """One predicate's contribution to ``column``'s range, pre-classified.
 
     Returns ``(kind, bound_fn)`` where ``kind`` records the static
     capability ("lo", "hi", "between") used to decide whether a range
     probe is worth emitting at all, and ``bound_fn(rows, params)``
     performs the interpreter's runtime evaluation and checks.
     """
-    def is_pk_ref(expr: ast.Expr) -> bool:
+    def is_column_ref(expr: ast.Expr) -> bool:
         return (isinstance(expr, ast.ColumnRef)
-                and expr.column == pk_col
+                and expr.column == column
                 and expr.table in (None, binding))
 
     def usable_const(expr: ast.Expr) -> Optional[Callable]:
@@ -456,7 +494,7 @@ def _compile_pk_bound(predicate: ast.Expr, binding: str, schema: TableSchema,
         return _compile_int_const(expr, prefix_scope)
 
     if isinstance(predicate, ast.Between) and not predicate.negated \
-            and is_pk_ref(predicate.value):
+            and is_column_ref(predicate.value):
         low_fn = usable_const(predicate.low)
         high_fn = usable_const(predicate.high)
         if low_fn is None or high_fn is None:
@@ -474,13 +512,13 @@ def _compile_pk_bound(predicate: ast.Expr, binding: str, schema: TableSchema,
     if op not in (">", ">=", "<", "<="):
         return None
     left, right = predicate.left, predicate.right
-    if is_pk_ref(left):
+    if is_column_ref(left):
         value_fn = usable_const(right)
         direction = {"<": ("hi", 0), "<=": ("hi", 1),
                      ">": ("lo", 1), ">=": ("lo", 0)}[op]
-    elif is_pk_ref(right):
+    elif is_column_ref(right):
         value_fn = usable_const(left)
-        # value OP pk -> flip the comparison.
+        # value OP column -> flip the comparison.
         direction = {"<": ("lo", 1), "<=": ("lo", 0),
                      ">": ("hi", 0), ">=": ("hi", 1)}[op]
     else:
@@ -496,16 +534,21 @@ def _compile_pk_bound(predicate: ast.Expr, binding: str, schema: TableSchema,
     return kind, comparison_bound
 
 
-def _compile_pk_range(predicates: Sequence[ast.Expr], binding: str,
-                      schema: TableSchema,
-                      prefix_scope: Scope) -> Optional[PkRangeProbe]:
-    if len(schema.primary_key) != 1:
+def _compile_range_bounds(predicates: Sequence[ast.Expr], binding: str,
+                          schema: TableSchema, column: str,
+                          prefix_scope: Scope
+                          ) -> Optional[tuple[Callable, ...]]:
+    """``column``'s bound closures, or None when no range can unroll.
+
+    The column must have INTEGER affinity: unrolling ``a >= 1`` into the
+    keys 1, 2, ... would miss a stored 1.5.
+    """
+    if not _integer_affinity(schema, column):
         return None
-    pk_col = schema.primary_key[0]
     kinds: set[str] = set()
     bound_fns = []
     for predicate in predicates:
-        compiled = _compile_pk_bound(predicate, binding, schema, pk_col,
+        compiled = _compile_pk_bound(predicate, binding, schema, column,
                                      prefix_scope)
         if compiled is None:
             continue
@@ -516,7 +559,19 @@ def _compile_pk_range(predicates: Sequence[ast.Expr], binding: str,
     # would just be a slower full scan.
     if "between" not in kinds and not {"lo", "hi"} <= kinds:
         return None
-    return PkRangeProbe(tuple(bound_fns))
+    return tuple(bound_fns)
+
+
+def _compile_pk_range(predicates: Sequence[ast.Expr], binding: str,
+                      schema: TableSchema,
+                      prefix_scope: Scope) -> Optional[PkRangeProbe]:
+    if len(schema.primary_key) != 1:
+        return None
+    bound_fns = _compile_range_bounds(predicates, binding, schema,
+                                      schema.primary_key[0], prefix_scope)
+    if bound_fns is None:
+        return None
+    return PkRangeProbe("__pk__", bound_fns)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..errors import IntegrityError
-from .catalog import IndexDef, TableSchema
+from .catalog import IndexDef, TableSchema, key_getter
 
 #: Snapshot timestamp meaning "read the latest committed version".
 READ_LATEST = float("inf")
@@ -51,10 +51,13 @@ class TableData:
         # the reserved name "__pk__" when the table declares one.
         self._indexes: dict[str, dict[tuple, set[int]]] = {}
         self._index_defs: dict[str, IndexDef] = {}
+        # index name -> (row values -> that index's key tuple)
+        self._index_keys: dict[str, Callable[[tuple], tuple]] = {}
         self._multiversion_rows: set[int] = set()
         if schema.primary_key:
             self._index_defs["__pk__"] = IndexDef(
                 "__pk__", schema.name, schema.primary_key, unique=True)
+            self._index_keys["__pk__"] = key_getter(schema.pk_positions)
             self._indexes["__pk__"] = {}
         for index in schema.indexes.values():
             self.add_index(index)
@@ -64,20 +67,19 @@ class TableData:
     def add_index(self, index: IndexDef) -> None:
         """Register a new index and backfill it from retained versions."""
         self._index_defs[index.name] = index
+        index_key = key_getter(
+            tuple(self.schema.position(c) for c in index.columns))
+        self._index_keys[index.name] = index_key
         entries: dict[tuple, set[int]] = {}
-        positions = tuple(self.schema.position(c) for c in index.columns)
         for rowid, chain in self._versions.items():
             for version in chain:
                 if version.values is not None:
-                    key = tuple(version.values[p] for p in positions)
-                    entries.setdefault(key, set()).add(rowid)
+                    entries.setdefault(index_key(version.values),
+                                       set()).add(rowid)
         self._indexes[index.name] = entries
 
     def index_defs(self) -> list[IndexDef]:
         return list(self._index_defs.values())
-
-    def _index_key(self, index: IndexDef, values: tuple) -> tuple:
-        return tuple(values[self.schema.position(c)] for c in index.columns)
 
     # -- reads ---------------------------------------------------------------
 
@@ -94,6 +96,25 @@ class TableData:
     def latest_version(self, rowid: int) -> Optional[Version]:
         chain = self._versions.get(rowid)
         return chain[-1] if chain else None
+
+    def latest_live(self, rowids: Iterable[int]) -> list[tuple[int, tuple]]:
+        """``(rowid, values)`` for each of ``rowids`` live at its latest
+        committed version, in ``rowids`` order.
+
+        The batched read of a latest-committed reader with no pending
+        writes on this table: ``visible_version(rowid, READ_LATEST)`` is
+        always the chain's last version.
+        """
+        live = []
+        append = live.append
+        chain_of = self._versions.get
+        for rowid in rowids:
+            chain = chain_of(rowid)
+            if chain:
+                values = chain[-1].values
+                if values is not None:
+                    append((rowid, values))
+        return live
 
     def all_rowids(self) -> Iterator[int]:
         return iter(list(self._versions.keys()))
@@ -162,10 +183,11 @@ class TableData:
         chain.append(version)
         if len(chain) > 1:
             self._multiversion_rows.add(rowid)
-        if version.values is not None:
-            for index in self._index_defs.values():
-                key = self._index_key(index, version.values)
-                self._indexes[index.name].setdefault(key, set()).add(rowid)
+        values = version.values
+        if values is not None:
+            indexes = self._indexes
+            for name, index_key in self._index_keys.items():
+                indexes[name].setdefault(index_key(values), set()).add(rowid)
 
     # -- garbage collection --------------------------------------------------
 
@@ -205,16 +227,15 @@ class TableData:
 
     def _clean_index_entries(self, rowid: int, removed: list[Version],
                              kept: list[Version]) -> None:
-        for index in self._index_defs.values():
+        for name, index_key in self._index_keys.items():
             kept_keys = {
-                self._index_key(index, v.values)
-                for v in kept if v.values is not None
+                index_key(v.values) for v in kept if v.values is not None
             }
-            entries = self._indexes[index.name]
+            entries = self._indexes[name]
             for version in removed:
                 if version.values is None:
                     continue
-                key = self._index_key(index, version.values)
+                key = index_key(version.values)
                 if key in kept_keys:
                     continue
                 bucket = entries.get(key)

@@ -72,6 +72,9 @@ class Transaction:
         self.workspace: dict[tuple[str, int], WriteOp] = {}
         # table -> rowids this txn inserted (scan overlay)
         self.inserted: dict[str, set[int]] = {}
+        # tables this txn has buffered any write on; a latest-committed
+        # scan of any other table needs no workspace overlay
+        self.written_tables: set[str] = set()
         self.stats = TxnStats()
         # table -> strongest table-lock mode granted to this txn, so that
         # repeated statements on a table skip the lock manager; the lock
@@ -88,9 +91,11 @@ class Transaction:
     def buffer_insert(self, table: str, rowid: int, values: tuple) -> None:
         self.workspace[(table, rowid)] = WriteOp(INSERT, values)
         self.inserted.setdefault(table, set()).add(rowid)
+        self.written_tables.add(table)
         self.stats.rows_inserted += 1
 
     def buffer_update(self, table: str, rowid: int, values: tuple) -> None:
+        self.written_tables.add(table)
         existing = self.workspace.get((table, rowid))
         if existing is not None and existing.kind == INSERT:
             existing.values = values
@@ -99,6 +104,7 @@ class Transaction:
         self.stats.rows_written += 1
 
     def buffer_delete(self, table: str, rowid: int) -> None:
+        self.written_tables.add(table)
         existing = self.workspace.get((table, rowid))
         if existing is not None and existing.kind == INSERT:
             # Inserting then deleting inside one txn cancels out.
@@ -186,6 +192,7 @@ class TransactionManager:
             if txn.active:
                 txn.workspace.clear()
                 txn.inserted.clear()
+                txn.written_tables.clear()
                 self._finish(txn)
                 self.aborted += 1
 

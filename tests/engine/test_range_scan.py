@@ -1,7 +1,11 @@
-"""Integer PK range unrolling: the hash-index answer to range scans.
+"""Integer range unrolling: the hash-index answer to range scans.
 
 ``pk >= lo AND pk < hi`` on a single-column integer primary key is
-unrolled into point lookups (``Executor._integer_pk_range``).  These tests
+unrolled into point lookups (``PkRangeProbe`` on the compiled path,
+``Executor._integer_pk_range`` in the interpreter).  On the compiled path
+an equality probe also narrows to an integer range on a wider index;
+``test_range_probe_sqlite.py`` checks that form against ``sqlite3``.
+Only INTEGER-affinity columns are unrolled.  These tests
 pin the optimisation's correctness against full-scan semantics and verify
 it actually engages (via the transaction's index/scan counters).
 """

@@ -150,6 +150,36 @@ def test_serializable_full_scan_blocks_writers_until_commit(five, sql, after):
     check.rollback()
 
 
+@pytest.mark.parametrize("compiled", [True, False])
+def test_composite_range_without_equality_probe_blocks_phantoms(compiled):
+    """``a = ? AND b = ? AND c BETWEEN ..`` with only an (a, b, c) index.
+
+    No equality probe binds a whole index, so the read stays a full scan
+    under table S on both paths, and an insert into its range waits.
+    """
+    db = Database(use_compiled_plans=compiled)
+    conn = connect(db)
+    execute(conn, "CREATE TABLE t3 (id INT PRIMARY KEY, a INT, b INT, "
+                  "c INT)")
+    execute(conn, "CREATE INDEX idx_t3_abc ON t3 (a, b, c)")
+    execute(conn, "INSERT INTO t3 VALUES (1, 1, 1, 1), (2, 1, 1, 2), "
+                  "(3, 1, 1, 3), (4, 2, 1, 2)")
+    conn.commit()
+    conn.close()
+    sql = "SELECT COUNT(*) FROM t3 WHERE a = 1 AND b = 1 AND c BETWEEN 1 AND 5"
+    reader = connect(db)
+    assert execute(reader, sql).fetchone()[0] == 3
+    assert db.lock_manager.held_by(reader.transaction) == {("table", "t3")}
+    thread, done, errors = _run_blocked(db, "INSERT INTO t3 VALUES "
+                                            "(5, 1, 1, 4)")
+    time.sleep(SETTLE)
+    assert not done.is_set(), "writer did not wait for the table S lock"
+    assert execute(reader, sql).fetchone()[0] == 3
+    reader.commit()
+    thread.join(2.0)
+    assert done.is_set(), errors
+
+
 def test_full_scan_reader_waits_for_open_writer(five):
     writer = connect(five)
     execute(writer, "INSERT INTO t VALUES (6, 6)")
